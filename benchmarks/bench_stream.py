@@ -81,8 +81,8 @@ def _churn_delta(g: CSRGraph, seed: int, ops: int) -> EdgeDelta:
     half = ops // 2
     idx = rng.choice(g.num_edges, size=half, replace=False)
     deletes = list(zip(g.edge_src[idx].tolist(), g.edge_dst[idx].tolist()))
+    # Deleted pairs stay excluded: one batch may not insert what it deletes.
     edges = set(zip(g.edge_src.tolist(), g.edge_dst.tolist()))
-    edges -= set(deletes)
     inserts: list = []
     while len(inserts) < ops - half:
         u = int(rng.integers(g.n))

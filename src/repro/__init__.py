@@ -59,14 +59,12 @@ from repro.compress import (
     CutSparsifier,
     ClusteredLowRankApproximation,
     build_scheme,
-    make_scheme,
     register_scheme,
     registered_schemes,
 )
 from repro.core import (
     SG,
     SlimGraphRuntime,
-    Pipeline,
     run_kernels,
     VertexKernel,
     EdgeKernel,
@@ -103,8 +101,6 @@ from repro.analytics import (
     ScoreReport,
     Session,
     SweepTable,
-    evaluate_scheme,
-    sweep,
 )
 from repro import theory
 from repro import distributed
@@ -133,13 +129,11 @@ __all__ = [
     "SchemeSpec",
     "StageRecord",
     "Chain",
-    "make_scheme",
     "build_scheme",
     "register_scheme",
     "registered_schemes",
     "SG",
     "SlimGraphRuntime",
-    "Pipeline",
     "run_kernels",
     "VertexKernel",
     "EdgeKernel",
@@ -170,8 +164,6 @@ __all__ = [
     "build_algorithm",
     "register_metric",
     "registered_metrics",
-    "evaluate_scheme",
-    "sweep",
     "theory",
     "distributed",
     "runner",

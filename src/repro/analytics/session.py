@@ -15,7 +15,7 @@ matter how many schemes are scored against it::
         .run(pagerank)
         .score(["kl"])
     )
-    records, compressed = session.evaluate("EO-0.8-1-TR")   # battery reuses baselines
+    battery = session.grid(["EO-0.8-1-TR"])   # §5 battery; reuses baselines
     table = session.grid(
         ["uniform(p=0.5)", "spanner(k=8)", "EO-0.8-1-TR"],
         ["pr", "cc", "tc", "sssp"],
@@ -36,14 +36,14 @@ vertex mapping (:func:`repro.compress.mappings.vertex_alignment`) before
 scoring, so KL / reordered-pair numbers compare each original vertex with
 the compressed vertex that carries it instead of zero-padding the tail.
 
-The legacy free functions (:func:`repro.analytics.evaluation.
-evaluate_scheme`, :func:`repro.analytics.tradeoff.sweep`) are deprecated
-shims over this class.
+:meth:`Session.grid` and :meth:`Session.sweep` have one executor,
+:func:`repro.runner.parallel.run_grid`: ``jobs=1`` without a store is its
+in-process case, with the same retry and quarantine rules as pooled and
+store-backed grids.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -51,19 +51,16 @@ from repro.utils.timer import timed_call
 
 from repro.obs.spans import enable_tracing, span as _span, tracer as _tracer
 
-from repro.algorithms.adapters import get_adapter
-from repro.algorithms.registry import BoundAlgorithm, build_algorithm
-from repro.algorithms.spec import AlgorithmSpec as DeclarativeAlgorithmSpec
-from repro.analytics.evaluation import (
-    AlgorithmSpec,
-    EvaluationRecord,
-    default_algorithms,
+from repro.algorithms.registry import (
+    BoundAlgorithm,
+    build_algorithm,
+    registered_algorithms,
 )
+from repro.algorithms.spec import AlgorithmSpec
 from repro.analytics.grid import GridCell, SweepTable
 from repro.compress.base import CompressionResult, CompressionScheme
 from repro.compress.mappings import vertex_alignment
 from repro.compress.registry import build_scheme, get_entry
-from repro.graphs.analysis import analysis_cache, stats_delta
 from repro.graphs.csr import CSRGraph
 from repro.metrics.registry import (
     MetricContext,
@@ -89,12 +86,9 @@ def _spec_label(scheme) -> str:
 
 
 class _Runner:
-    """Uniform execution wrapper over the two algorithm surfaces.
-
-    Normalizes a legacy executable :class:`AlgorithmSpec` (name, fn, kind)
-    or a registry-bound :class:`BoundAlgorithm` into the one shape the
-    session needs: a cache key, display labels, a callable, a result
-    adapter, and the output canonicalizer.
+    """A registry-bound :class:`BoundAlgorithm` in the shape the session
+    needs: a cache key, display labels, a callable, a result adapter, and
+    the output canonicalizer.
     """
 
     __slots__ = ("key", "name", "label", "fn", "adapter", "extract", "execute", "root")
@@ -111,24 +105,6 @@ class _Runner:
         self.root = root
 
     @classmethod
-    def of_legacy(cls, spec: AlgorithmSpec) -> "_Runner":
-        try:
-            adapter = get_adapter(spec.kind)
-        except ValueError:
-            raise ValueError(f"unknown algorithm kind {spec.kind!r}") from None
-        return cls(
-            key=(spec.name, spec.kind),
-            name=spec.name,
-            label=spec.name,
-            fn=spec.fn,
-            adapter=adapter,
-            extract=adapter.canonicalize,
-            # The legacy "bfs" battery entry carries no real computation —
-            # its metric runs its own paired traversals at score time.
-            execute=spec.kind != "bfs",
-        )
-
-    @classmethod
     def of_bound(cls, bound: BoundAlgorithm) -> "_Runner":
         traversal = bound.adapter.name == "traversal"
         return cls(
@@ -140,7 +116,7 @@ class _Runner:
             extract=bound.extract,
             # Traversal outputs are never read — the metric runs its own
             # paired traversals — so skip the redundant executions (and
-            # the baseline cache entry) exactly as the legacy path does.
+            # the baseline cache entry).
             execute=not traversal,
             root=bound.spec.params.get("source") if traversal else None,
         )
@@ -263,20 +239,19 @@ class CompressedRun:
 
     # -- running algorithms ------------------------------------------------ #
 
-    def run(self, algorithm, *more, kind: str | None = None, name: str | None = None) -> "CompressedRun":
+    def run(self, algorithm, *more) -> "CompressedRun":
         """Execute ``algorithm`` on the compressed graph (and, via the
         session's baseline cache, on the original).  Returns ``self``.
 
-        ``algorithm`` may be a callable (``pagerank``), a registry name or
-        spec string (``"pr"``, ``"pagerank(iterations=50)"``,
-        ``"sssp(source=0)"``), an :class:`~repro.algorithms.spec.
-        AlgorithmSpec`, a :class:`~repro.algorithms.registry.
-        BoundAlgorithm`, or a legacy executable :class:`AlgorithmSpec`;
-        extra positional algorithms queue in one call:
-        ``.run(pagerank, "cc")``.
+        ``algorithm`` may be a registry name or spec string (``"pr"``,
+        ``"pagerank(iterations=50)"``, ``"sssp(source=0)"``), an
+        :class:`~repro.algorithms.spec.AlgorithmSpec`, a
+        :class:`~repro.algorithms.registry.BoundAlgorithm`, or a registered
+        function (``pagerank``); extra positional algorithms queue in one
+        call: ``.run(pagerank, "cc")``.
         """
         for alg in (algorithm, *more):
-            runner = self.session._as_runner(alg, kind=kind, name=name)
+            runner = self.session._as_runner(alg)
             # Keyed by the full spec label so two parameterizations of one
             # algorithm ("sssp(source=0)", "sssp(source=5)") coexist.
             if not runner.execute:
@@ -348,64 +323,10 @@ class CompressedRun:
             scores[alg_name] = out
         return ScoreReport(scores)
 
-    # -- the §5 battery ---------------------------------------------------- #
-
-    def evaluate(self, algorithms: list | None = None) -> list[EvaluationRecord]:
-        """Run the metric battery; original runs come from the cache."""
-        session = self.session
-        runners = (
-            [session._as_runner(alg) for alg in algorithms]
-            if algorithms is not None
-            else session._battery_runners()
-        )
-        ctx = self._context()
-        records: list[EvaluationRecord] = []
-        for runner in runners:
-            metric = resolve_metric(runner.adapter.default_metric)
-            run = None
-            if not runner.execute:
-                # Legacy battery BFS: the metric is the whole computation;
-                # split its cost over the two graph columns.
-                start = time.perf_counter()
-                value = float(metric.fn(ctx, None, None))
-                elapsed = time.perf_counter() - start
-                records.append(
-                    EvaluationRecord(
-                        algorithm=runner.label,
-                        kind=runner.adapter.legacy_kind,
-                        metric_name=metric.name,
-                        metric_value=value,
-                        original_seconds=elapsed / 2,
-                        compressed_seconds=elapsed / 2,
-                    )
-                )
-                continue
-            out0, t0 = session.baseline(runner)
-            out1, t1 = _timed(runner.fn, self.graph)
-            run = _AlgorithmRun(runner, out0, t0, out1, t1)
-            records.append(
-                EvaluationRecord(
-                    algorithm=runner.label,
-                    kind=runner.adapter.legacy_kind,
-                    metric_name=metric.name,
-                    metric_value=self._metric_value(metric, run, ctx),
-                    original_seconds=t0,
-                    compressed_seconds=t1,
-                    original_value=out0,
-                    compressed_value=out1,
-                )
-            )
-        return records
-
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One tradeoff data point (a Fig. 5 cell).
-
-    The historical :class:`repro.analytics.tradeoff.SweepRow` plus the
-    generating ``scheme_spec``; re-exported from there for back
-    compatibility.
-    """
+    """One tradeoff data point (a Fig. 5 cell) of :meth:`Session.sweep`."""
 
     parameter: float
     algorithm: str
@@ -517,10 +438,10 @@ class Session:
                 self.trace_path = trace
         #: Execution statistics of the most recent :meth:`grid` call
         #: ({} until one runs): cache_hits/cache_misses, compress_seconds,
-        #: wall_seconds, jobs, and the structural-analysis cache activity
-        #: (``analysis_cache``: hits/misses + per-analysis detail).
+        #: wall_seconds, jobs, the structural-analysis cache activity
+        #: (``analysis_cache``: hits/misses + per-analysis detail), and the
+        #: runner's fault counters (retries, quarantined ``failed_cells``).
         self.last_grid_perf: dict = {}
-        self._battery: list[AlgorithmSpec] | None = None
         self._battery_runner_cache: list[_Runner] | None = None
         self._baselines: dict = {}
         #: Number of original-graph algorithm executions (cache misses);
@@ -559,14 +480,12 @@ class Session:
             overrides["source"] = self.bfs_root
         return build_algorithm(bound, **overrides) if overrides else bound
 
-    def _as_runner(self, algorithm, *, kind: str | None = None, name: str | None = None) -> _Runner:
+    def _as_runner(self, algorithm) -> _Runner:
         if isinstance(algorithm, _Runner):
             return algorithm
-        if isinstance(algorithm, AlgorithmSpec):
-            return _Runner.of_legacy(algorithm)
         if isinstance(algorithm, BoundAlgorithm):
             return _Runner.of_bound(algorithm)
-        if isinstance(algorithm, DeclarativeAlgorithmSpec):
+        if isinstance(algorithm, AlgorithmSpec):
             return _Runner.of_bound(self._bind(algorithm))
         if isinstance(algorithm, str):
             for runner in self._battery_runners():
@@ -579,26 +498,31 @@ class Session:
                     f"unknown algorithm {algorithm!r}: {err}"
                 ) from None
         if callable(algorithm):
-            return _Runner.of_legacy(
-                AlgorithmSpec(
-                    name or getattr(algorithm, "__name__", "algorithm"),
-                    algorithm,
-                    kind or "distribution",
+            # A registered function (``.run(pagerank)``) is its registry
+            # entry under the session defaults, labeled by that name.
+            names = [
+                name
+                for name, entry in registered_algorithms().items()
+                if entry.fn is algorithm
+            ]
+            fn_name = getattr(algorithm, "__qualname__", repr(algorithm))
+            if len(names) > 1:
+                raise ValueError(
+                    f"{fn_name!r} is registered as {', '.join(names)}; "
+                    "pass one of those names"
                 )
-            )
+            if not names:
+                raise ValueError(
+                    f"sessions run registry algorithms; {fn_name!r} is a bare "
+                    "callable the registry does not know (register it with "
+                    "@register_algorithm)"
+                )
+            runner = _Runner.of_bound(self._bind(names[0]))
+            runner.label = names[0]
+            return runner
         raise TypeError(f"cannot interpret algorithm {algorithm!r}")
 
     # -- baseline cache ---------------------------------------------------- #
-
-    def default_battery(self) -> list[AlgorithmSpec]:
-        """The §5 battery as legacy executable specs (back-compat shim;
-        internally the session uses :meth:`_battery_runners`, which binds
-        the same algorithms through the registry)."""
-        if self._battery is None:
-            self._battery = default_algorithms(
-                bfs_root=self.bfs_root, pr_iterations=self.pr_iterations
-            )
-        return self._battery
 
     def _battery_runners(self) -> list[_Runner]:
         """The §5 battery bound through the registry, under the paper's
@@ -622,9 +546,8 @@ class Session:
     def baseline(self, spec):
         """(output, seconds) of an algorithm on the original graph, cached.
 
-        ``spec`` may be a legacy :class:`AlgorithmSpec` (keyed by
-        ``(name, kind)``), a :class:`BoundAlgorithm` / spec string (keyed
-        by its canonical declarative spec), or an internal runner.
+        ``spec`` is any :meth:`CompressedRun.run` surface; the cache key is
+        its canonical bound spec, so every spelling shares one slot.
         """
         runner = self._as_runner(spec)
         cached = self._baselines.get(runner.key)
@@ -661,19 +584,7 @@ class Session:
             sp.set(compression_ratio=result.compression_ratio)
         return CompressedRun(self, scheme, result, seed=seed)
 
-    # -- battery + sweeps -------------------------------------------------- #
-
-    def evaluate(
-        self,
-        scheme,
-        algorithms: list | None = None,
-        *,
-        seed=_UNSET,
-        via: str = "fast",
-    ) -> tuple[list[EvaluationRecord], CSRGraph]:
-        """Compress and run the metric battery; (records, compressed)."""
-        run = self.compress(scheme, seed=seed, via=via)
-        return run.evaluate(algorithms), run.graph
+    # -- grids + sweeps ---------------------------------------------------- #
 
     def grid(
         self,
@@ -682,14 +593,17 @@ class Session:
         metrics: Sequence[str] | None = None,
         *,
         seed=_UNSET,
-        via: str = "fast",
     ) -> SweepTable:
         """Evaluate the full scheme × algorithm × metric grid.
 
         Every scheme is compressed once, every algorithm's original-graph
         baseline is computed once for the whole grid (the session cache),
         and every (scheme, algorithm) execution is scored with each
-        selected metric — one tidy long-format row per triple.
+        selected metric — one tidy long-format row per triple.  Execution
+        is :func:`repro.runner.parallel.run_grid`: in-process unless the
+        session has ``jobs > 1``, replayed from and written to its store
+        when it has one.  A cell group that keeps failing is left out of
+        the table and listed in ``last_grid_perf["failed_cells"]``.
 
         Parameters
         ----------
@@ -700,9 +614,9 @@ class Session:
         algorithms:
             Algorithm surfaces (registry names/aliases, spec strings,
             :class:`~repro.algorithms.spec.AlgorithmSpec`,
-            :class:`~repro.algorithms.registry.BoundAlgorithm`, legacy
-            executable specs); duplicates are executed once.  ``None``
-            runs the paper battery ``("bfs", "pr", "cc", "tc")``.
+            :class:`~repro.algorithms.registry.BoundAlgorithm`, registered
+            functions); duplicates are executed once.  ``None`` runs the
+            paper battery ``("bfs", "pr", "cc", "tc")``.
         metrics:
             Metric names applied to every algorithm they are compatible
             with (by result adapter); ``None`` scores each algorithm with
@@ -714,64 +628,28 @@ class Session:
         SweepTable
             Long-format rows; ``.to_csv()`` / ``.to_dict()`` round-trip.
         """
+        from repro.runner.parallel import run_grid
+
         built, runners, plans = self._grid_plan(schemes, algorithms, metrics)
         seed = self.seed if seed is _UNSET else seed
-
-        if self.store is not None or (self.jobs or 1) > 1:
-            if via != "fast":
-                raise ValueError(
-                    "store-backed / parallel grids support via='fast' only"
-                )
-            from repro.runner.parallel import run_grid
-
-            with _span(
-                "grid",
-                schemes=len(built),
-                algorithms=len(runners),
-                jobs=self.jobs or 1,
-                seed=seed,
-            ):
-                cells, perf = run_grid(self, built, runners, plans, seed=seed)
-            self.last_grid_perf = perf
-            return SweepTable(cells)
-
-        from repro.utils.timer import stopwatch
-
-        cells: list[GridCell] = []
-        groups = 0
-        compress_seconds = 0.0
-        analysis_before = analysis_cache().stats()
-        with stopwatch() as wall, _span(
-            "grid", schemes=len(built), algorithms=len(runners), jobs=1, seed=seed
+        with _span(
+            "grid",
+            schemes=len(built),
+            algorithms=len(runners),
+            jobs=self.jobs or 1,
+            seed=seed,
         ):
-            for scheme in built:
-                run, elapsed = _timed(self.compress, scheme, seed=seed, via=via)
-                compress_seconds += elapsed
-                for runner, plan in zip(runners, plans):
-                    if plan:
-                        groups += 1
-                    cells.extend(self._score_cells(run, runner, plan, seed=seed))
-        self.last_grid_perf = {
-            "jobs": 1,
-            "cells_scheduled": groups,
-            "cache_hits": 0,
-            "cache_misses": groups,
-            "compress_seconds": compress_seconds,
-            "wall_seconds": wall.seconds,
-            # Structural-analysis reuse during this grid (triangle lists
-            # etc.): see repro.graphs.analysis.
-            "analysis_cache": stats_delta(analysis_before, analysis_cache().stats()),
-        }
+            cells, self.last_grid_perf = run_grid(
+                self, built, runners, plans, seed=seed
+            )
         return SweepTable(cells)
 
     def _grid_plan(self, schemes, algorithms, metrics):
         """Resolve and deduplicate the three grid axes.
 
         Returns ``(built_schemes, runners, plans)`` where ``plans[i]`` is
-        the (possibly empty) metric list for ``runners[i]``; shared by the
-        in-memory loop above and the store/parallel executor in
-        :mod:`repro.runner.parallel` so both paths evaluate the identical
-        cell set.
+        the (possibly empty) metric list for ``runners[i]`` — the plan
+        :func:`repro.runner.parallel.run_grid` turns into tasks.
         """
         built: list[CompressionScheme] = []
         for s in schemes:
@@ -829,9 +707,8 @@ class Session:
         The unit of work behind :meth:`grid` — one compressed graph, one
         algorithm (any :meth:`run` surface), one cell per metric
         (``None`` = the adapter's §5 default).  Baselines come from the
-        session cache; the runner workers execute exactly this method, so
-        parallel/store-backed grids are cell-for-cell identical to
-        in-memory ones.
+        session cache; every grid task executes exactly this code, in
+        process or in a pool worker.
         """
         runner = self._as_runner(algorithm)
         if metrics is None:
@@ -881,6 +758,10 @@ class Session:
             sp.inc("cells", len(cells))
         return cells
 
+    #: The §5 battery as the sweep's registry spellings (the grid default
+    #: plus the per-vertex triangle vector the battery also scores).
+    _SWEEP_BATTERY = ("bfs", "pr", "cc", "tc", "tc_per_vertex")
+
     def sweep(
         self,
         schemes: Iterable,
@@ -896,8 +777,11 @@ class Session:
         configured schemes; duplicates (by scheme equality) are evaluated
         once.  ``parameters`` labels the rows; when omitted, each scheme's
         registered positional parameter is used (falling back to the list
-        index).  ``repeats`` keeps the best (minimum) compressed timing
-        per cell, damping scheduler noise.
+        index).  Each of the ``repeats`` is one :meth:`grid` (seeded
+        ``seed + r``); per (scheme, algorithm) the repeat with the best
+        (minimum) compressed timing wins, damping scheduler noise, and its
+        row carries that repeat's seed, so a warm store replays it
+        byte-identically.
         """
         if repeats < 1:
             raise ValueError("repeats must be >= 1")
@@ -912,66 +796,6 @@ class Session:
                 for index, scheme in enumerate(built)
             ]
         base_seed = self.seed if seed is _UNSET else seed
-        if self.store is not None or (self.jobs or 1) > 1:
-            return self._sweep_via_grid(
-                built, parameters, algorithms, base_seed, repeats
-            )
-        rows: list[SweepRow] = []
-        # Cache evaluation outcomes per scheme (params-driven eq/hash), so
-        # duplicate schemes are executed once but every (scheme, parameter)
-        # pair still gets its own correctly-labeled rows.
-        seen: dict[CompressionScheme, tuple[float, list]] = {}
-        for scheme, parameter in zip(built, parameters):
-            cached = seen.get(scheme)
-            if cached is None:
-                best: dict[str, tuple[EvaluationRecord, object]] = {}
-                ratio = 1.0
-                for r in range(repeats):
-                    cell_seed = base_seed + r if isinstance(base_seed, int) else base_seed
-                    records, compressed = self.evaluate(
-                        scheme, algorithms, seed=cell_seed
-                    )
-                    ratio = (
-                        compressed.num_edges / self.graph.num_edges
-                        if self.graph.num_edges
-                        else 1.0
-                    )
-                    for rec in records:
-                        prev = best.get(rec.algorithm)
-                        if prev is None or rec.compressed_seconds < prev[0].compressed_seconds:
-                            best[rec.algorithm] = (rec, cell_seed)
-                cached = (ratio, list(best.values()))
-                seen[scheme] = cached
-            ratio, best_records = cached
-            rows.extend(
-                SweepRow(
-                    parameter=parameter,
-                    algorithm=rec.algorithm,
-                    compression_ratio=ratio,
-                    relative_runtime_difference=rec.relative_runtime_difference,
-                    metric_name=rec.metric_name,
-                    metric_value=rec.metric_value,
-                    scheme_spec=_spec_label(scheme),
-                    seed=rec_seed,
-                )
-                for rec, rec_seed in best_records
-            )
-        return rows
-
-    #: The §5 battery as the sweep's registry spellings (the grid default
-    #: plus the per-vertex triangle vector the battery also scores).
-    _SWEEP_BATTERY = ("bfs", "pr", "cc", "tc", "tc_per_vertex")
-
-    def _sweep_via_grid(
-        self, built, parameters, algorithms, base_seed, repeats: int
-    ) -> list[SweepRow]:
-        """Store/parallel-backed :meth:`sweep`: battery rows via the runner.
-
-        Each repeat is one runner-backed grid over the (deduplicated)
-        schemes; per (scheme, algorithm) the best-timed repeat wins,
-        mirroring the in-memory path.  Rows carry the seed of the winning
-        repeat, so a warm store replays them byte-identically.
-        """
         unique: list[CompressionScheme] = []
         for scheme in built:
             if scheme not in unique:

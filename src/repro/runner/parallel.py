@@ -1,9 +1,9 @@
 """Parallel, store-aware, fault-tolerant execution of grid sweeps.
 
-:func:`run_grid` is the engine behind ``Session(store=…, jobs=N).grid``:
-it takes the session's already-resolved grid plan (schemes × algorithm
-runners × metric plans), turns it into one **task per (scheme, seed,
-algorithm) cell group**, and executes the tasks
+:func:`run_grid` is the one engine behind every ``Session.grid`` and
+``Session.sweep``: it takes the session's already-resolved grid plan
+(schemes × algorithm runners × metric plans), turns it into one **task
+per (scheme, seed, algorithm) cell group**, and executes the tasks
 
 - against the artifact store first — cells already stored are replayed
   with zero recomputation,
@@ -34,10 +34,10 @@ in the scheduler's ``finally`` — a crashed sweep never leaks a segment.
 Every worker keeps its own
 :class:`~repro.analytics.session.Session`, so original-graph baselines
 are computed at most once per algorithm per worker and compressions at
-most once per (scheme, seed) per worker — the same deduplication the
-in-memory session performs, sharded over the pool.
+most once per (scheme, seed) per worker — the deduplication an
+in-process grid gets from the parent session, sharded over the pool.
 
-Results are bit-compatible with the sequential in-memory path: workers
+Results do not depend on where a task ran: in-process and pooled tasks
 execute the very same ``Session._score_cells`` code on the very same
 inputs, and the parent reassembles cells in deterministic plan order, so
 a parallel, store-backed grid equals the single-process one on a fixed
@@ -83,7 +83,6 @@ from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecu
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.algorithms.spec import AlgorithmSpec
 from repro.analytics.grid import GridCell
 from repro.faults.plan import fault_point
 from repro.graphs.analysis import analysis_cache, stats_delta
@@ -272,8 +271,14 @@ def _worker_cell(task: dict) -> tuple[dict, list[dict], dict]:
     return task, cells, perf
 
 
-def _compute_cell(session, runs: dict, task: dict) -> tuple[list[dict], dict]:
+def _compute_cell(
+    session, runs: dict, task: dict, scheme=None
+) -> tuple[list[dict], dict]:
     """Execute one task against ``session`` (worker or parent process).
+
+    ``scheme`` is the built scheme when the caller has it (in-process
+    runs, which so also take configured schemes the registry cannot
+    rebuild); workers rebuild it from the task's spec string.
 
     ``runs`` holds the current (scheme, seed) compression so consecutive
     same-key tasks share it; it is evicted whenever the ``(scheme, seed)``
@@ -293,7 +298,9 @@ def _compute_cell(session, runs: dict, task: dict) -> tuple[list[dict], dict]:
     if cached is None:
         runs.clear()
         cached, compress_seconds = timed_call(
-            session.compress, task["scheme"], seed=task["seed"]
+            session.compress,
+            task["scheme"] if scheme is None else scheme,
+            seed=task["seed"],
         )
         runs[run_key] = cached
     runner = session._as_runner(task["algorithm"])
@@ -315,7 +322,7 @@ def _compute_cell(session, runs: dict, task: dict) -> tuple[list[dict], dict]:
 # ---------------------------------------------------------------------- #
 
 
-def _make_tasks(session, built, runners, plans, seed) -> list[CellTask]:
+def _make_tasks(built, runners, plans, seed) -> list[CellTask]:
     tasks: list[CellTask] = []
     from repro.analytics.session import _spec_label
 
@@ -324,13 +331,6 @@ def _make_tasks(session, built, runners, plans, seed) -> list[CellTask]:
         for ri, (runner, plan) in enumerate(zip(runners, plans)):
             if not plan:
                 continue
-            if not isinstance(runner.key, AlgorithmSpec):
-                raise ValueError(
-                    f"store-backed/parallel grids require registry "
-                    f"algorithms; {runner.label!r} is a legacy executable "
-                    "spec or bare callable (register it with "
-                    "@register_algorithm)"
-                )
             tasks.append(
                 CellTask(
                     scheme=scheme_str,
@@ -347,9 +347,9 @@ def _make_tasks(session, built, runners, plans, seed) -> list[CellTask]:
 def run_grid(session, built, runners, plans, *, seed):
     """Execute a resolved grid plan with store replay and/or a pool.
 
-    Returns ``(cells, perf)`` where ``cells`` is in the same deterministic
-    (scheme-major, then algorithm, then metric) order the in-memory path
-    produces — minus any quarantined cells, which appear in
+    Returns ``(cells, perf)`` where ``cells`` is in deterministic plan
+    (scheme-major, then algorithm, then metric) order — minus any
+    quarantined cells, which appear in
     ``perf["failed_cells"]`` instead — and ``perf`` reports cache
     hits/misses, compression time, retries, and wall time for this call.
     """
@@ -358,7 +358,7 @@ def run_grid(session, built, runners, plans, *, seed):
     retry = RetryPolicy.of(getattr(session, "retry", None))
     rng = random.Random(f"retry-jitter-{seed}")
     with stopwatch() as wall:
-        tasks = _make_tasks(session, built, runners, plans, seed)
+        tasks = _make_tasks(built, runners, plans, seed)
 
         fingerprint = None
         if store is not None:
@@ -440,7 +440,7 @@ def run_grid(session, built, runners, plans, *, seed):
         if pending and jobs > 1:
             _run_pool(session, store, fingerprint, pending, jobs, harvest, retry, rng, perf)
         elif pending:
-            _run_inline(session, pending, harvest, retry, rng, perf)
+            _run_inline(session, built, pending, harvest, retry, rng, perf)
 
         cells = _assemble(tasks, runners, results)
     perf["wall_seconds"] = wall.seconds
@@ -490,7 +490,9 @@ def _quarantine(task: CellTask, err, attempts: int, perf: dict) -> None:
     counter("repro.runner.failed_cells").inc()
 
 
-def _run_inline(session, pending, harvest, retry: RetryPolicy, rng, perf: dict) -> None:
+def _run_inline(
+    session, built, pending, harvest, retry: RetryPolicy, rng, perf: dict
+) -> None:
     """In-process execution with the same retry/quarantine semantics.
 
     Reuses the parent session so its baseline cache keeps paying off
@@ -501,7 +503,9 @@ def _run_inline(session, pending, harvest, retry: RetryPolicy, rng, perf: dict) 
     for task in pending:
         for attempt in range(1, retry.max_attempts + 1):
             try:
-                cells, cell_perf = _compute_cell(session, runs, task.transport())
+                cells, cell_perf = _compute_cell(
+                    session, runs, task.transport(), built[task.scheme_index]
+                )
             except Exception as err:  # noqa: BLE001 — any failure is retryable
                 runs.clear()
                 if attempt >= retry.max_attempts:
@@ -748,15 +752,15 @@ def _merge_analysis(total: dict, delta: dict | None) -> None:
 
 
 def _assemble(tasks, runners, results) -> list[GridCell]:
-    """Cells in plan order, labeled like the in-memory path.
+    """Cells in plan order, labeled with this call's algorithm surfaces.
 
     Stored payloads carry the canonical bound algorithm label; the session
     may have requested the cell under a battery short name (``"pr"``), so
     the display label is rewritten to this call's surface.  Replayed
     payloads may also carry the *writer's* metric order (store keys are
     metric-order-free), so rows are re-sorted to this call's requested
-    order — a warm replay is row-for-row identical to the in-memory grid
-    no matter how the cells were first spelled.  Quarantined tasks have
+    order — a warm replay is row-for-row identical to a cold grid no
+    matter how the cells were first spelled.  Quarantined tasks have
     no results entry and are skipped — their identity lives in the perf
     record's ``failed_cells`` manifest.
     """

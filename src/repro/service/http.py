@@ -41,6 +41,9 @@ __all__ = ["ServiceHandler", "ServiceServer", "serve", "start_in_thread"]
 #: Submission bodies above this size are rejected (a job spec is tiny).
 MAX_BODY_BYTES = 1 << 20
 
+#: Read size used to discard a rejected body without buffering it whole.
+_DISCARD_CHUNK_BYTES = 1 << 16
+
 #: ``Retry-After`` seconds sent with 503s.  A saturated queue usually
 #: drains within a job's runtime; a closing queue never reopens, but the
 #: supervisor restarting the process typically has it back by then too.
@@ -168,7 +171,18 @@ class ServiceHandler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
             length = -1
-        if not 0 < length <= MAX_BODY_BYTES:
+        if length > MAX_BODY_BYTES:
+            # Read the body before answering: a client still sending into
+            # an unread socket sees a broken pipe instead of the 400.
+            self._discard_body(length)
+            self.close_connection = True
+            self._error(
+                400,
+                f"request body over {MAX_BODY_BYTES} bytes",
+                headers={"Connection": "close"},
+            )
+            return
+        if length <= 0:
             self._error(400, "request needs a JSON body (Content-Length)")
             return
         try:
@@ -188,6 +202,14 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._unavailable(str(err))
             return
         self._json(record.summary(), status=202)
+
+    def _discard_body(self, length: int) -> None:
+        """Consume ``length`` body bytes in bounded chunks (stops at EOF)."""
+        while length > 0:
+            chunk = self.rfile.read(min(length, _DISCARD_CHUNK_BYTES))
+            if not chunk:
+                return
+            length -= len(chunk)
 
 
 class ServiceServer(ThreadingHTTPServer):

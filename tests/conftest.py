@@ -67,3 +67,24 @@ def to_networkx(g: CSRGraph):
 @pytest.fixture
 def nx_of():
     return to_networkx
+
+
+@pytest.fixture
+def temp_algorithms():
+    """Register throwaway algorithms for one test.
+
+    ``temp_algorithms(name, fn, adapter="scalar")`` registers ``fn`` and
+    returns ``name``; every registration is removed after the test.
+    """
+    from repro.algorithms import register_algorithm, unregister_algorithm
+
+    names = []
+
+    def register(name, fn, adapter="scalar"):
+        register_algorithm(name, adapter=adapter)(fn)
+        names.append(name)
+        return name
+
+    yield register
+    for name in names:
+        unregister_algorithm(name)

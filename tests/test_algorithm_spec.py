@@ -177,11 +177,6 @@ class TestAlgorithmRegistry:
 
 
 class TestResultAdapters:
-    def test_legacy_kinds_resolve(self):
-        assert get_adapter("vector").name == "ordering"
-        assert get_adapter("bfs").name == "traversal"
-        assert get_adapter("scalar").name == "scalar"
-
     def test_distribution_canonicalize_is_ranks_aware(self, plc300):
         from repro.algorithms.pagerank import pagerank
 

@@ -114,16 +114,13 @@ class TestGrid:
         }
         assert len(table) == 2 * 4
 
-    def test_mixed_legacy_algorithms(self, plc300):
-        from repro.analytics.evaluation import AlgorithmSpec
-
+    def test_mixed_legacy_algorithms(self, plc300, temp_algorithms):
+        # A user-registered algorithm and a paper battery name in one grid.
+        edges = temp_algorithms("tmp_edges", lambda g: g.num_edges)
         session = Session(plc300, seed=0)
-        table = session.grid(
-            ["uniform(p=0.5)"],
-            [AlgorithmSpec("edges", lambda g: g.num_edges, "scalar"), "pr"],
-        )
+        table = session.grid(["uniform(p=0.5)"], [edges, "pr"])
         assert len(table) == 2
-        assert "edges" in table.algorithms()
+        assert "tmp_edges" in table.algorithms()
 
     def test_empty_axes_rejected(self, plc300):
         session = Session(plc300, seed=0)

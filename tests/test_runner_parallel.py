@@ -66,15 +66,15 @@ class TestStoreBackedGrid:
         assert long.algorithms() == ["pagerank(max_iterations=100)"]
 
     def test_legacy_callables_rejected(self, plc300, tmp_path):
-        from repro.analytics.evaluation import AlgorithmSpec
-
         session = Session(plc300, seed=1, store=ArtifactStore(tmp_path / "s"))
-        with pytest.raises(ValueError, match="registry algorithms"):
-            session.grid(SCHEMES, [AlgorithmSpec("edges", lambda g: g.num_edges, "scalar")])
+        with pytest.raises(ValueError, match="registry algorithms.*@register_algorithm"):
+            session.grid(SCHEMES, [lambda g: g.num_edges])
 
     def test_kernel_path_rejected(self, plc300, tmp_path):
+        # Grids run the vectorized path only; the kernel path is a
+        # ``compress(via="kernels")`` option, not a grid one.
         session = Session(plc300, seed=1, store=ArtifactStore(tmp_path / "s"))
-        with pytest.raises(ValueError, match="via='fast'"):
+        with pytest.raises(TypeError, match="via"):
             session.grid(SCHEMES, ["pr"], via="kernels")
 
     def test_store_accepts_path_surface(self, plc300, tmp_path):
@@ -82,6 +82,33 @@ class TestStoreBackedGrid:
         assert isinstance(session.store, ArtifactStore)
         session.grid(SCHEMES, ["cc"])
         assert len(session.store) == len(SCHEMES)
+
+
+class TestInProcessGrid:
+    def test_store_is_the_only_difference(self, plc300, tmp_path):
+        # jobs=1 with and without a store run the same executor: the same
+        # cells and the same perf record, plus the store's own counters.
+        plain = Session(plc300, seed=1)
+        stored = Session(plc300, seed=1, store=ArtifactStore(tmp_path / "s"))
+        expected = plain.grid(SCHEMES, ALGS)
+        got = stored.grid(SCHEMES, ALGS)
+        assert _comparable(got) == _comparable(expected)
+        assert set(plain.last_grid_perf) | {"store_stats"} == set(stored.last_grid_perf)
+        assert plain.last_grid_perf["cache_misses"] == len(SCHEMES) * len(ALGS)
+
+    def test_failing_cell_is_quarantined(self, plc300, temp_algorithms):
+        def broken(g):
+            raise RuntimeError("boom")
+
+        session = Session(plc300, seed=1, retry={"max_attempts": 2, "backoff_base": 0})
+        table = session.grid(SCHEMES, [temp_algorithms("tmp_broken", broken), "cc"])
+        assert table.algorithms() == ["cc"]
+        failed = session.last_grid_perf["failed_cells"]
+        assert [(f["scheme"], f["attempts"]) for f in failed] == [
+            (scheme, 2) for scheme in table.schemes()
+        ]
+        assert all("boom" in f["error"] for f in failed)
+        assert session.last_grid_perf["retries"] == len(SCHEMES)
 
 
 class TestParallelGrid:

@@ -1,46 +1,43 @@
 """Tests for the fluent evaluation session: baseline caching, scoring,
-sweeps, and the deprecated evaluate_scheme/sweep shims."""
+algorithm resolution, and sweeps."""
 
 import pytest
 
 from repro.algorithms.pagerank import pagerank
 from repro.analytics import Session
-from repro.analytics.evaluation import AlgorithmSpec, evaluate_scheme
-from repro.analytics.tradeoff import sweep
 from repro.compress.uniform import RandomUniformSampling
 
 
 class TestBaselineCache:
     def test_baseline_reused_across_schemes(self, plc300):
         session = Session(plc300, seed=0)
-        session.evaluate("uniform(p=0.5)")
+        session.grid(["uniform(p=0.5)"])
         first = session.baseline_computations
         assert first > 0
-        session.evaluate("spanner(k=8)")
-        session.evaluate("EO-0.8-1-TR")
+        session.grid(["spanner(k=8)"])
+        session.grid(["EO-0.8-1-TR"])
         # Scoring two more schemes ran zero extra original-graph work.
         assert session.baseline_computations == first
 
-    def test_counting_via_instrumented_algorithm(self, plc300):
+    def test_counting_via_instrumented_algorithm(self, plc300, temp_algorithms):
         calls = {"n": 0}
 
         def counting(g):
             calls["n"] += 1
             return g.num_edges
 
-        specs = [AlgorithmSpec("edges", counting, "scalar")]
+        edges = temp_algorithms("tmp_edges", counting)
         session = Session(plc300, seed=0)
-        session.evaluate("uniform(p=0.5)", specs)
-        session.evaluate("uniform(p=0.9)", specs)
+        session.grid(["uniform(p=0.5)"], [edges])
+        session.grid(["uniform(p=0.9)"], [edges])
         # 1 baseline + 2 compressed runs; a session-less pair would do 4.
         assert calls["n"] == 3
 
     def test_records_match_shimless_path(self, plc300):
         session = Session(plc300, seed=0)
-        records, compressed = session.evaluate(RandomUniformSampling(0.5), seed=0)
-        names = {r.algorithm for r in records}
-        assert names == {"bfs", "cc", "pr", "tc", "tc_per_vertex"}
-        assert compressed.num_edges < plc300.num_edges
+        rows = session.sweep([RandomUniformSampling(0.5)], seed=0)
+        assert {r.algorithm for r in rows} == {"bfs", "cc", "pr", "tc", "tc_per_vertex"}
+        assert all(r.compression_ratio < 1.0 for r in rows)
 
 
 class TestFluentApi:
@@ -108,18 +105,45 @@ class TestFluentApi:
             session.compress("uniform(p=0.5)", via="gpu")
 
 
+class TestAlgorithmResolution:
+    def test_registered_function_resolves_through_registry(self, plc300):
+        session = Session(plc300, seed=0, pr_iterations=20)
+        run = session.compress("uniform(p=0.5)").run(pagerank)
+        by_name = session.compress("uniform(p=0.5)").run("pagerank")
+        assert run.score()["kl_divergence"] == by_name.score()["kl_divergence"]
+        # One baseline slot: the function is the registry entry under the
+        # session defaults, not a second private algorithm.
+        assert session.baseline_computations == 1
+        table = session.grid(["uniform(p=0.5)"], [pagerank, "pagerank"])
+        assert table.algorithms() == ["pagerank"]
+
+    def test_unregistered_callable_names_the_decorator(self, plc300):
+        session = Session(plc300, seed=0)
+        with pytest.raises(ValueError, match="@register_algorithm"):
+            session.compress("uniform(p=0.5)").run(lambda g: g.num_edges)
+        with pytest.raises(ValueError, match="@register_algorithm"):
+            session.grid(["uniform(p=0.5)"], [lambda g: g.num_edges])
+
+    def test_function_registered_twice_is_ambiguous(self, plc300):
+        from repro.algorithms import bfs
+
+        # ``bfs`` backs both the traversal entry and the scalar bfs_reach.
+        with pytest.raises(ValueError, match="bfs, bfs_reach"):
+            Session(plc300).compress("uniform(p=0.5)").run(bfs)
+
+
 class TestSessionSweep:
-    def test_spec_list_sweep(self, plc300):
+    def test_spec_list_sweep(self, plc300, temp_algorithms):
         session = Session(plc300, seed=0)
         rows = session.sweep(
             ["uniform(p=0.2)", "uniform(p=0.5)", "uniform(p=0.9)"],
-            algorithms=[AlgorithmSpec("cc", lambda g: 1, "scalar")],
+            algorithms=[temp_algorithms("tmp_one", lambda g: 1)],
         )
         ratios = {row.parameter: row.compression_ratio for row in rows}
         assert ratios[0.2] < ratios[0.5] < ratios[0.9]
         assert all(row.scheme_spec.startswith("uniform") for row in rows)
 
-    def test_duplicate_schemes_evaluated_once(self, plc300):
+    def test_duplicate_schemes_evaluated_once(self, plc300, temp_algorithms):
         calls = {"n": 0}
 
         def counting(g):
@@ -129,42 +153,20 @@ class TestSessionSweep:
         session = Session(plc300, seed=0)
         rows = session.sweep(
             ["uniform(p=0.5)", "uniform(p=0.5)"],
-            algorithms=[AlgorithmSpec("one", counting, "scalar")],
+            algorithms=[temp_algorithms("tmp_counting", counting)],
         )
         assert len(rows) == 2  # both rows reported...
         assert calls["n"] == 2  # ...but 1 baseline + 1 compressed execution
 
-    def test_duplicate_schemes_keep_their_labels(self, plc300):
+    def test_duplicate_schemes_keep_their_labels(self, plc300, temp_algorithms):
         session = Session(plc300, seed=0)
         rows = session.sweep(
             ["uniform(p=0.5)", "uniform(0.5)"],
             parameters=["a", "b"],
-            algorithms=[AlgorithmSpec("one", lambda g: 1, "scalar")],
+            algorithms=[temp_algorithms("tmp_one", lambda g: 1)],
         )
         assert [row.parameter for row in rows] == ["a", "b"]
 
     def test_repeats_validation(self, plc300):
         with pytest.raises(ValueError):
             Session(plc300).sweep(["uniform(p=0.5)"], repeats=0)
-
-
-class TestDeprecatedShims:
-    def test_evaluate_scheme_warns_and_works(self, plc300):
-        with pytest.warns(DeprecationWarning):
-            records, compressed = evaluate_scheme(
-                plc300, RandomUniformSampling(0.5), seed=0
-            )
-        assert {r.algorithm for r in records} == {"bfs", "cc", "pr", "tc", "tc_per_vertex"}
-        assert compressed.num_edges < plc300.num_edges
-
-    def test_sweep_warns_and_works(self, plc300):
-        with pytest.warns(DeprecationWarning):
-            rows = sweep(
-                plc300,
-                lambda p: RandomUniformSampling(p),
-                [0.2, 0.9],
-                algorithms=[AlgorithmSpec("cc", lambda g: 1, "scalar")],
-                seed=0,
-            )
-        assert len(rows) == 2
-        assert {row.parameter for row in rows} == {0.2, 0.9}

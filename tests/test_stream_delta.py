@@ -7,6 +7,9 @@ fails with the offender named, and the JSON / NPZ / text-stream round
 trips are lossless.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -222,3 +225,29 @@ class TestStreamFiles:
         ]
         with pytest.raises(ValueError, match="share the stream's directedness"):
             write_stream(deltas, tmp_path / "mixed.txt")
+
+
+class TestBenchChurn:
+    """The stream benchmark's churn generator must emit valid deltas."""
+
+    @staticmethod
+    def _churn_delta():
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_stream.py"
+        spec = importlib.util.spec_from_file_location("bench_stream", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module._churn_delta
+
+    def test_dense_graph_never_reinserts_a_delete(self):
+        from repro.graphs import generators as gen
+
+        churn_delta = self._churn_delta()
+        g = gen.erdos_renyi(30, m=200, seed=0)
+        existing = set(zip(g.edge_src.tolist(), g.edge_dst.tolist()))
+        for seed in range(200):
+            delta = churn_delta(g, seed=seed, ops=150)
+            inserts = set(zip(delta.insert_src.tolist(), delta.insert_dst.tolist()))
+            deletes = set(zip(delta.delete_src.tolist(), delta.delete_dst.tolist()))
+            assert len(inserts) == len(deletes) == 75
+            assert deletes <= existing
+            assert not inserts & existing
